@@ -34,8 +34,7 @@ from .langint import (build_hh_module, dual_generators, gen_quantum_number,
 from .polys import LaurentPoly, Poly
 from .repmod import (WeightModule, build_L, character,
                      decompose_into_irreducibles, freudenthal_char,
-                     isogeny_restrict, langlands_dual_char,
-                     verify_ladder_relations)
+                     isogeny_restrict, verify_ladder_relations)
 from .rootdata import (CartanMatrix, Isogeny, RootDatum, cartan_by_name,
                        check_cone_avoidance, check_unique_dominant, langlands_dual,
                        serre_exponent_set, sharp, shifted_weyl_action, validate_gcm)

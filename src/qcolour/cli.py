@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dual_char)
 
     p = sub.add_parser("liq", help="interpolation identity suite")
-    p.add_argument("check", nargs="?", default="check")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order-hp", type=int, default=4, dest="order_hp")

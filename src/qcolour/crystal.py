@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .polys import Poly
 from .scalars import RingMismatch
-from .series import (QQ, PolyRing, TruncSeries1, quantum_number_poly,
-                     quantum_number_series)
+from .series import (POLY_U, QQ, PolyRing, TruncSeries1,
+                     quantum_number_poly, quantum_number_series)
 
 UV = ("u", "v")
 
@@ -308,31 +308,6 @@ class RegRat:
         return f"({self.num!r})/({self.den!r})"
 
 
-class RegRatRing:
-    name = "QQ(u)_reg{0,1}"
-
-    def zero(self):
-        return RegRat(Fraction(0))
-
-    def one(self):
-        return RegRat(Fraction(1))
-
-    def from_int(self, n):
-        return RegRat(Fraction(n))
-
-    def contains(self, x):
-        return isinstance(x, RegRat)
-
-    def __eq__(self, other):
-        return isinstance(other, RegRatRing)
-
-    def __hash__(self):
-        return hash("RegRatRing")
-
-
-REGRAT = RegRatRing()
-
-
 def _as_poly_u(x):
     if isinstance(x, Poly):
         if x.vars == ("u",):
@@ -350,23 +325,12 @@ def _as_poly_uv(x):
 
 
 def _poly_gcd_u(a, b):
-    while not b.is_zero():
-        a, b = b, _poly_mod_u(a, b)
-    if a.is_zero():
+    while b:
+        a, b = b, a.divmod(b, "u")[1]
+    if not a:
         return a
     lead = a.coeffs[max(a.coeffs, key=lambda e: e[0])]
     return a * (Fraction(1) / lead)
-
-
-def _poly_mod_u(a, b):
-    db = b.degree()
-    lead = b.coeffs[max(b.coeffs, key=lambda e: e[0])]
-    while not a.is_zero() and a.degree() >= db:
-        da = a.degree()
-        ca = a.coeffs[max(a.coeffs, key=lambda e: e[0])]
-        mono = Poly(("u",), {(da - db,): ca / lead})
-        a = a - mono * b
-    return a
 
 
 class InterpColouring(Colouring):
@@ -511,13 +475,12 @@ class CongruenceClass:
         """[psi](u,k) as a series with Q[u] coefficients (closed form only)."""
         if self.poly_coeffs is None:
             raise ValueError("no closed form available")
-        ring = PolyRing(("u",))
         coeffs = []
         for p in self.poly_coeffs:
             q = p.substitute(v=Poly.constant(UV, Fraction(k)))
             coeffs.append(Poly(("u",), {(e[0],): c
                                         for e, c in q.coeffs.items()}))
-        return TruncSeries1(ring, self.order, coeffs)
+        return TruncSeries1(POLY_U, self.order, coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, CongruenceClass):

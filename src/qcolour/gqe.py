@@ -20,9 +20,7 @@ from fractions import Fraction
 from .crystal import CongruenceClass, congruence
 from .polys import Poly
 from .repmod import Operator, WeightModule
-from .series import PolyRing, QQ, TruncSeries1, series_div
-
-POLY_U = PolyRing(("u",))
+from .series import POLY_U, QQ, TruncSeries1, series_div
 
 
 class GqeDegreeExhausted(RuntimeError):
@@ -118,11 +116,6 @@ def _ratio_pointwise(cong: CongruenceClass, n: int, p: int, a: int):
     return out
 
 
-def _poly_u(p2: Poly) -> Poly:
-    """Reinterpret a (u,v)-polynomial without v as univariate in u."""
-    return Poly(("u",), {(e[0],): c for e, c in p2.coeffs.items()})
-
-
 def _subst_u(series: TruncSeries1, shift: int) -> TruncSeries1:
     """M(u) -> M(u + shift) coefficientwise."""
     u = Poly.variable(("u",), "u")
@@ -158,28 +151,23 @@ def solve(eq: GqeEquation):
                        tuple(degrees[:tail]), checked)
 
 
-def _value_poly_u(cong: CongruenceClass, k: int) -> TruncSeries1:
-    s = cong.value_poly(k)
-    return TruncSeries1(POLY_U, s.order, s.coeffs)
-
-
 def _solve_closed(eq: GqeEquation):
     entries, degrees = [], []
     zeros = 0
     for p in range(eq.p_max + 1):
         if p - eq.d >= 1:
-            rhs = _value_poly_u(eq.cong2, p - eq.d)
+            rhs = eq.cong2.value_poly(p - eq.d)
         else:
             rhs = TruncSeries1.zero(POLY_U, eq.order)
         acc = rhs
         for a in range(p):
             ratio = TruncSeries1.one(POLY_U, eq.order)
             for k in range(p - a + 1, p + 1):
-                ratio = ratio * _value_poly_u(eq.cong1, k)
+                ratio = ratio * eq.cong1.value_poly(k)
             acc = acc - _subst_u(entries[a], -2 * p + 2 * a) * ratio
         denom = TruncSeries1.one(POLY_U, eq.order)
         for k in range(1, p + 1):
-            denom = denom * _value_poly_u(eq.cong1, k)
+            denom = denom * eq.cong1.value_poly(k)
         try:
             m_p = series_div(acc, denom)
         except (ArithmeticError, ZeroDivisionError):
@@ -415,7 +403,8 @@ def _binom(n, k):
 def gqe_serre_residual(module: WeightModule, i: int, j: int,
                        solbar_i: GqeSolution, c_ij: int,
                        sign: int = 1):
-    """Max nonzero h-order of the rewritten Serre sum; None when zero.
+    """Lowest h-order with a nonzero entry of the rewritten Serre sum
+    (its minimum valuation); None when the sum vanishes.
 
     Evaluates sum over k + k' = 1 - c_ij of
     (-1)^k C(1-c_ij, k) (tX_i)^k X_j (tX_i)^k' on every basis vector,

@@ -16,7 +16,7 @@ from .scalars import (CyclotomicScalar, cyclotomic_qfactorial,
                       quantum_number_cyclotomic)
 from .series import (QQ, CyclotomicRing, LaurentRing, LaurentTrunc,
                      TruncSeries1, TruncSeries2, TruncationMismatchWarning,
-                     compose1, embed, exp_of, series_div, series_exp,
+                     compose1, exp_of, series_div, series_exp,
                      sinh_series, quantum_number_series)
 
 
@@ -259,7 +259,7 @@ def eps_quantum_number(a: int, g: int, order_hp: int,
     out = TruncSeries1.zero(ring, order_hp, var="h'")
     for j in range(a):
         k = a - 1 - 2 * j
-        out = out + series_exp(ring, ring.from_int(k), order_hp,
+        out = out + series_exp(ring, ring.embed(k), order_hp,
                                var="h'") * (e ** k)
     return out * sign
 
@@ -366,7 +366,7 @@ def _xplus_power_coeff(em: EpsModule, j: int, power: int):
 
 
 def _texp(g_or_k: int, order_hp: int, ring) -> TruncSeries1:
-    return series_exp(ring, ring.from_int(g_or_k), order_hp, var="h'")
+    return series_exp(ring, ring.embed(g_or_k), order_hp, var="h'")
 
 
 def branch_sign(n: int, g: int) -> int:
@@ -409,7 +409,7 @@ def power_commutation_residual(kind: str, n: int, g: int, order_hp: int = 4,
     tg = _texp(g, order_hp, ring)
     kappa = branch_sign(n, g) if branch == "module" else 1
     rhs_base = (tg - _texp(-g, order_hp, ring)) * (qfact * qfact) * \
-        ring.from_int(kappa)
+        ring.embed(kappa)
     if subspace == "dual":
         indices, _ = em.dual_indices()
     else:
@@ -476,7 +476,7 @@ def dual_generators(em: EpsModule, guard: int = 2) -> DualAction:
     T = _texp(1, order + guard, ring)
     pref = (T * e - T.invert() * e.inverse()) ** 2
     pref = pref * (qfact * qfact).inverse() * \
-        ring.from_int(branch_sign(em.n, g))
+        ring.embed(branch_sign(em.n, g))
     tgdiff = _texp(g, order + guard, ring) - _texp(-g, order + guard, ring)
     inv2 = LaurentTrunc.from_series(tgdiff * tgdiff).invert()
     indices, gp = big.dual_indices()
@@ -532,7 +532,7 @@ def dual_relations_report(da: DualAction) -> IdentityReport:
         for t in range(abs(w)):
             k = abs(w) - 1 - 2 * t
             target = target + _texp(g * k, order, ring)
-        target = target * ring.from_int(sign) if w else target
+        target = target * ring.embed(sign) if w else target
         diff = comm - target
         if not diff.is_zero():
             v = diff.valuation()

@@ -2,14 +2,15 @@
 
 A ``Poly`` stores a map from exponent tuples to nonzero coefficients.
 Coefficients are whatever scalar type the caller works with (Fraction or
-CyclotomicScalar); they only need ring arithmetic through operators.
+CyclotomicScalar); they only need ring arithmetic through operators,
+``bool(c)`` as the zero test and ``/`` for division by a nonzero scalar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import RingMismatch, as_fraction
+from .scalars import RingMismatch, pow_by_squaring
 
 
 class Poly:
@@ -26,9 +27,9 @@ class Poly:
                 raise ValueError("exponent arity mismatch")
             if any(e < 0 for e in exp):
                 raise ValueError("negative exponent in polynomial")
-            if not _is_zero(c):
+            if c:
                 cleaned[exp] = cleaned.get(exp, 0) + c if exp in cleaned else c
-        self.coeffs = {e: c for e, c in cleaned.items() if not _is_zero(c)}
+        self.coeffs = {e: c for e, c in cleaned.items() if c}
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -56,7 +57,7 @@ class Poly:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = out.get(e, 0) + c
-            if _is_zero(s):
+            if not s:
                 out.pop(e, None)
             else:
                 out[e] = s
@@ -80,7 +81,7 @@ class Poly:
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = out.get(e, 0) + c1 * c2
-                if _is_zero(s):
+                if not s:
                     out.pop(e, None)
                 else:
                     out[e] = s
@@ -91,14 +92,7 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.constant(self.vars, Fraction(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return pow_by_squaring(self, k, Poly.constant(self.vars, Fraction(1)))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -158,50 +152,50 @@ class Poly:
             out = out + term
         return out
 
-    def divexact(self, den: "Poly", var) -> "Poly":
-        """Exact division by a univariate-in-``var`` divisor; raises if inexact."""
+    def divmod(self, den: "Poly", var) -> "tuple[Poly, Poly]":
+        """Division with remainder in ``var``: self = q * den + r.
+
+        The remainder has lower degree in ``var`` than ``den``.  Each step
+        peels the top slice in ``var``, so the divisor's leading slice must
+        be one monomial that divides every term it meets; otherwise the
+        division raises ``ArithmeticError``.
+        """
         den = self._coerce(den)
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("division by zero polynomial")
         i = self.vars.index(var)
         dd = den.degree(var)
-        lead = {e: c for e, c in den.coeffs.items() if e[i] == dd}
-        rem = dict(self.coeffs)
-        out = {}
-        while rem:
-            nd = max(e[i] for e in rem)
-            if nd < dd:
-                raise ArithmeticError("non-exact polynomial division")
-            # peel the top slice in var
-            top = {e: c for e, c in rem.items() if e[i] == nd}
-            (le, lc), = lead.items()
+        quot, rem = {}, self
+        nd = rem.degree(var)
+        if nd >= dd:
+            lead = [(e, c) for e, c in den.coeffs.items() if e[i] == dd]
             if len(lead) != 1:
                 raise ArithmeticError("divisor leading slice not a monomial")
-            for e, c in top.items():
-                qe = tuple(a - b for a, b in zip(e, le))
-                if any(x < 0 for x in qe):
-                    raise ArithmeticError("non-exact polynomial division")
-                out[qe] = c / lc if isinstance(c, Fraction) else c * _inv(lc)
-            q_slice = Poly(self.vars, {e: c for e, c in out.items()
-                                       if e[i] == nd - dd})
-            rem_p = Poly(self.vars, rem) - q_slice * den
-            rem = rem_p.coeffs
-        return Poly(self.vars, out)
+            (le, lc), = lead
+            inv = Fraction(1) / lc
+        while nd >= dd:
+            top = {}
+            for e, c in rem.coeffs.items():
+                if e[i] == nd:
+                    qe = tuple(a - b for a, b in zip(e, le))
+                    if any(x < 0 for x in qe):
+                        raise ArithmeticError("non-exact polynomial division")
+                    top[qe] = c * inv
+            quot.update(top)
+            rem = rem - Poly(self.vars, top) * den
+            nd = rem.degree(var)
+        return Poly(self.vars, quot), rem
+
+    def divexact(self, den: "Poly", var) -> "Poly":
+        """Exact division by a univariate-in-``var`` divisor; raises
+        ``ArithmeticError`` if inexact."""
+        quot, rem = self.divmod(den, var)
+        if rem:
+            raise ArithmeticError("non-exact polynomial division")
+        return quot
 
     def __repr__(self):
         return format_poly(self)
-
-
-def _is_zero(c):
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
-
-
-def _inv(c):
-    if hasattr(c, "inverse"):
-        return c.inverse()
-    return 1 / as_fraction(c)
 
 
 def format_poly(p: Poly) -> str:
@@ -228,8 +222,7 @@ class LaurentPoly:
 
     def __init__(self, var: str, coeffs=None):
         self.var = var
-        self.coeffs = {int(k): c for k, c in (coeffs or {}).items()
-                       if not _is_zero(c)}
+        self.coeffs = {int(k): c for k, c in (coeffs or {}).items() if c}
 
     @staticmethod
     def monomial(var, k, c=Fraction(1)) -> "LaurentPoly":
@@ -247,7 +240,7 @@ class LaurentPoly:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             s = out.get(k, 0) + c
-            if _is_zero(s):
+            if not s:
                 out.pop(k, None)
             else:
                 out[k] = s
@@ -271,7 +264,7 @@ class LaurentPoly:
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 s = out.get(k, 0) + c1 * c2
-                if _is_zero(s):
+                if not s:
                     out.pop(k, None)
                 else:
                     out[k] = s
@@ -305,28 +298,25 @@ class LaurentPoly:
         return LaurentPoly(var, {k * power: c for k, c in self.coeffs.items()})
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Exact division; raises ``ArithmeticError`` if inexact.
+
+        Both sides are shifted to ordinary polynomials with a nonzero
+        constant term, so the quotient is their polynomial quotient
+        shifted by the difference of the lowest exponents.
+        """
         other = self._coerce(other)
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero Laurent polynomial")
-        # shift both to ordinary polynomials and do exact division
-        rem = dict(self.coeffs)
-        dmax = max(other.coeffs)
-        lead = other.coeffs[dmax]
-        out = {}
-        while rem:
-            nmax = max(rem)
-            q = rem[nmax] * _inv(lead)
-            k = nmax - dmax
-            out[k] = q
-            for j, c in other.coeffs.items():
-                s = rem.get(k + j, 0) - q * c
-                if _is_zero(s):
-                    rem.pop(k + j, None)
-                else:
-                    rem[k + j] = s
-            if rem and max(rem) >= nmax:
-                raise ArithmeticError("non-exact Laurent division")
-        return LaurentPoly(self.var, out)
+        if not self:
+            return LaurentPoly(self.var, {})
+        lo_num, lo_den = min(self.coeffs), min(other.coeffs)
+        num = Poly((self.var,), {(k - lo_num,): c
+                                 for k, c in self.coeffs.items()})
+        den = Poly((self.var,), {(k - lo_den,): c
+                                 for k, c in other.coeffs.items()})
+        quot = num.divexact(den, self.var)
+        return LaurentPoly(self.var, {e + lo_num - lo_den: c
+                                      for (e,), c in quot.coeffs.items()})
 
     def __repr__(self):
         if not self.coeffs:

@@ -8,13 +8,7 @@ from fractions import Fraction
 
 from .crystal import Colouring
 from .rootdata import Isogeny, RootDatum, sl2_weight_datum
-from .series import QQ, TruncSeries1, embed
-
-
-def _is_zero(c):
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
+from .series import QQ, TruncSeries1
 
 
 class Operator:
@@ -26,7 +20,7 @@ class Operator:
         self.dim = dim
         self.columns = {}
         for c, entries in (columns or {}).items():
-            cleaned = [(r, v) for r, v in entries if not _is_zero(v)]
+            cleaned = [(r, v) for r, v in entries if v]
             if cleaned:
                 self.columns[c] = cleaned
 
@@ -43,9 +37,6 @@ class Operator:
         return Operator(len(values),
                         {i: [(i, v)] for i, v in enumerate(values)})
 
-    def apply_basis(self, i):
-        return list(self.columns.get(i, ()))
-
     def compose(self, other: "Operator") -> "Operator":
         """self after other."""
         out = {}
@@ -55,8 +46,7 @@ class Operator:
                 for r, w in self.columns.get(mid, ()):
                     s = acc.get(r)
                     acc[r] = w * v if s is None else s + w * v
-            bucket = [(r, v) for r, v in sorted(acc.items())
-                      if not _is_zero(v)]
+            bucket = [(r, v) for r, v in sorted(acc.items()) if v]
             if bucket:
                 out[c] = bucket
         return Operator(self.dim, out)
@@ -78,8 +68,7 @@ class Operator:
                     list(other.columns.get(c, ())):
                 s = acc.get(r)
                 acc[r] = v if s is None else s + v
-            bucket = [(r, v) for r, v in sorted(acc.items())
-                      if not _is_zero(v)]
+            bucket = [(r, v) for r, v in sorted(acc.items()) if v]
             if bucket:
                 out[c] = bucket
         return Operator(self.dim, out)
@@ -144,10 +133,10 @@ class WeightModule:
 
     def scalar(self, q):
         if self.order is not None:
-            return TruncSeries1.constant(self.ring, embed(Fraction(q),
-                                                          self.ring),
+            return TruncSeries1.constant(self.ring,
+                                         self.ring.embed(Fraction(q)),
                                          self.order)
-        return embed(Fraction(q), self.ring)
+        return self.ring.embed(Fraction(q))
 
     def operator(self, name) -> Operator:
         if name in self.actions:
@@ -161,9 +150,6 @@ class WeightModule:
 
     def coroot_values(self, i):
         return [self.datum.coroot_pairing(i, w) for w in self.weights]
-
-    def diagonal_from(self, fn) -> Operator:
-        return Operator.diagonal([fn(j) for j in range(self.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +317,6 @@ def restrict_character(chi: dict, iso: Isogeny) -> dict:
         if pre is not None:
             out[pre] = out.get(pre, 0) + mult
     return out
-
-
-langlands_dual_char = restrict_character
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,21 @@ def as_fraction(x) -> Fraction:
     raise RingMismatch(f"not a rational value: {x!r}")
 
 
+def pow_by_squaring(x, k: int, one):
+    """x**k for k >= 0 by square-and-multiply, starting from ``one``.
+
+    Shared by the ``__pow__`` methods of the scalar, polynomial and series
+    types; each decides what a negative exponent means before calling it.
+    """
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # integer polynomials, dense tuples, just enough for cyclotomic polynomials
 
@@ -179,14 +194,8 @@ class CyclotomicScalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = CyclotomicScalar.from_rational(self.order, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return pow_by_squaring(self, k,
+                               CyclotomicScalar.from_rational(self.order, 1))
 
     # -- predicates -----------------------------------------------------
     def is_zero(self) -> bool:

@@ -7,7 +7,7 @@ negative shift to a series, tracking localisation by the second
 parameter.
 
 Coefficient rings are tagged explicitly; mixing rings raises
-``RingMismatch`` and coercions go through :func:`embed`.
+``RingMismatch`` and coercions go through :meth:`RingTag.embed`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import warnings
 from fractions import Fraction
 
 from .polys import LaurentPoly, Poly
-from .scalars import CyclotomicScalar, RingMismatch, as_fraction
+from .scalars import (CyclotomicScalar, RingMismatch, as_fraction,
+                      pow_by_squaring)
 
 
 class TruncationMismatchWarning(UserWarning):
@@ -29,6 +30,15 @@ class TruncationMismatchWarning(UserWarning):
 
 
 class RingTag:
+    """A coefficient ring: ``zero``/``one``/``contains``/``embed``/
+    ``inverse``/``divexact``.
+
+    The zero test of an element is ``bool(c)``.  ``inverse`` raises
+    ``ZeroDivisionError`` on a non-unit, ``divexact`` raises
+    ``ArithmeticError`` on an inexact quotient, and both raise
+    ``RingMismatch`` on a value from another ring.
+    """
+
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
@@ -41,6 +51,23 @@ class RingTag:
     def __repr__(self):
         return self.name
 
+    def embed(self, x):
+        """Explicit coercion: elements of the ring as they are, ints and
+        Fractions as constants."""
+        if self.contains(x):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return self._rational(Fraction(x))
+        raise RingMismatch(f"cannot embed {x!r} into {self.name}")
+
+    def inverse(self, c):
+        """1 / c for a unit c."""
+        try:
+            return self.divexact(self.one(), c)
+        except ArithmeticError:
+            raise ZeroDivisionError(
+                f"{c!r} is not invertible in {self.name}") from None
+
 
 class RationalRing(RingTag):
     name = "QQ"
@@ -51,11 +78,14 @@ class RationalRing(RingTag):
     def one(self):
         return Fraction(1)
 
-    def from_int(self, n):
-        return Fraction(n)
-
     def contains(self, x):
         return isinstance(x, (int, Fraction))
+
+    def _rational(self, q):
+        return q
+
+    def divexact(self, a, b):
+        return as_fraction(a) / as_fraction(b)
 
 
 class CyclotomicRing(RingTag):
@@ -72,11 +102,17 @@ class CyclotomicRing(RingTag):
     def one(self):
         return CyclotomicScalar.from_rational(self.order, 1)
 
-    def from_int(self, n):
-        return CyclotomicScalar.from_rational(self.order, n)
-
     def contains(self, x):
         return isinstance(x, CyclotomicScalar) and x.order == self.order
+
+    def _rational(self, q):
+        return CyclotomicScalar.from_rational(self.order, q)
+
+    def inverse(self, c):
+        return self.embed(c).inverse()
+
+    def divexact(self, a, b):
+        return self.embed(a) / self.embed(b)
 
 
 class PolyRing(RingTag):
@@ -93,11 +129,26 @@ class PolyRing(RingTag):
     def one(self):
         return Poly.constant(self.vars, Fraction(1))
 
-    def from_int(self, n):
-        return Poly.constant(self.vars, Fraction(n))
-
     def contains(self, x):
         return isinstance(x, Poly) and x.vars == self.vars
+
+    def _rational(self, q):
+        return Poly.constant(self.vars, q)
+
+    def divexact(self, a, b):
+        """Exact quotient, by the first variable whose division is exact."""
+        a, b = self.embed(a), self.embed(b)
+        if not b:
+            raise ZeroDivisionError("division by zero polynomial")
+        const = (0,) * len(self.vars)
+        if list(b.coeffs) == [const]:
+            return a * (Fraction(1) / b.coeffs[const])
+        for v in self.vars:
+            try:
+                return a.divexact(b, v)
+            except ArithmeticError:
+                continue
+        raise ArithmeticError("non-exact polynomial coefficient division")
 
 
 class LaurentRing(RingTag):
@@ -115,41 +166,18 @@ class LaurentRing(RingTag):
     def one(self):
         return LaurentPoly(self.var, {0: self.base.one()})
 
-    def from_int(self, n):
-        return LaurentPoly(self.var, {0: self.base.from_int(n)})
-
     def contains(self, x):
         return isinstance(x, LaurentPoly) and x.var == self.var
+
+    def _rational(self, q):
+        return LaurentPoly(self.var, {0: self.base.embed(q)})
+
+    def divexact(self, a, b):
+        return self.embed(a).divexact(self.embed(b))
 
 
 QQ = RationalRing()
 POLY_U = PolyRing(("u",))
-POLY_UV = PolyRing(("u", "v"))
-
-
-def embed(x, ring: RingTag):
-    """Explicit coercion of a rational scalar into a larger ring."""
-    if ring.contains(x):
-        return x
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        if isinstance(ring, RationalRing):
-            return x
-        if isinstance(ring, CyclotomicRing):
-            return CyclotomicScalar.from_rational(ring.order, x)
-        if isinstance(ring, PolyRing):
-            return Poly.constant(ring.vars, x)
-        if isinstance(ring, LaurentRing):
-            return LaurentPoly(ring.var, {0: embed(x, ring.base)})
-    raise RingMismatch(f"cannot embed {x!r} into {ring.name}")
-
-
-def _is_zero(c):
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
-
 
 # ---------------------------------------------------------------------------
 
@@ -194,7 +222,7 @@ class TruncSeries1:
     # -- plumbing -------------------------------------------------------
     def _align(self, other):
         if not isinstance(other, TruncSeries1):
-            c = other if self.ring.contains(other) else embed(other, self.ring)
+            c = self.ring.embed(other)
             other = TruncSeries1.constant(self.ring, c, self.order, self.var)
         if other.ring != self.ring:
             raise RingMismatch(
@@ -240,12 +268,12 @@ class TruncSeries1:
         a, b = self._align(other)
         out = [a.ring.zero() for _ in range(a.order)]
         for i, x in enumerate(a.coeffs):
-            if _is_zero(x):
+            if not x:
                 continue
             for j, y in enumerate(b.coeffs):
                 if i + j >= a.order:
                     break
-                if not _is_zero(y):
+                if y:
                     out[i + j] = out[i + j] + x * y
         return TruncSeries1(a.ring, a.order, out, a.var)
 
@@ -254,14 +282,8 @@ class TruncSeries1:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative series power; use invert()")
-        out = TruncSeries1.one(self.ring, self.order, self.var)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        one = TruncSeries1.one(self.ring, self.order, self.var)
+        return pow_by_squaring(self, k, one)
 
     def __eq__(self, other):
         try:
@@ -275,12 +297,15 @@ class TruncSeries1:
 
     # -- structure ----------------------------------------------------------
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def valuation(self):
         """Index of the first nonzero coefficient; None when zero mod h^K."""
         for i, c in enumerate(self.coeffs):
-            if not _is_zero(c):
+            if c:
                 return i
         return None
 
@@ -293,7 +318,7 @@ class TruncSeries1:
 
     def shift_down(self, k: int) -> "TruncSeries1":
         """Exact division by h^k; the first k coefficients must vanish."""
-        if any(not _is_zero(c) for c in self.coeffs[:k]):
+        if any(self.coeffs[:k]):
             raise ArithmeticError("series not divisible by the parameter power")
         if self.order - k < 1:
             raise ArithmeticError("shift exhausts the truncation window")
@@ -302,65 +327,23 @@ class TruncSeries1:
     def invert(self) -> "TruncSeries1":
         """Inverse of a series whose constant term is invertible."""
         c0 = self.coeffs[0]
-        if _is_zero(c0):
+        if not c0:
             raise ZeroDivisionError("series has zero constant term")
-        inv0 = _coeff_inverse(c0, self.ring)
+        inv0 = self.ring.inverse(c0)
         out = [inv0]
         for k in range(1, self.order):
             acc = self.ring.zero()
             for j in range(1, k + 1):
                 acc = acc + self.coeffs[j] * out[k - j]
-            out.append(-(inv0 * acc) if isinstance(inv0, Fraction)
-                       else -(acc * inv0))
+            out.append(-(acc * inv0))
         return TruncSeries1(self.ring, self.order, out, self.var)
 
     def map_coeffs(self, f, ring=None, var=None) -> "TruncSeries1":
         return TruncSeries1(ring or self.ring, self.order,
                             [f(c) for c in self.coeffs], var or self.var)
 
-    def evaluate(self, value):
-        """Sum the truncated series at a scalar value for the parameter."""
-        out = self.ring.zero()
-        power = self.ring.one()
-        for c in self.coeffs:
-            out = out + c * power
-            power = power * value
-        return out
-
     def __repr__(self):
         return format_series(self)
-
-
-def _coeff_inverse(c, ring):
-    if isinstance(c, Fraction):
-        return Fraction(1) / c
-    if isinstance(c, CyclotomicScalar):
-        return c.inverse()
-    raise ZeroDivisionError(
-        f"constant term {c!r} is not invertible in {ring.name}")
-
-
-def _coeff_divexact(a, b, ring):
-    """a / b in the coefficient ring, exactly."""
-    if isinstance(b, Fraction) or isinstance(b, int):
-        return a * (Fraction(1) / as_fraction(b))
-    if isinstance(b, CyclotomicScalar):
-        return a * b.inverse()
-    if isinstance(b, Poly):
-        if not b.coeffs:
-            raise ZeroDivisionError("division by zero polynomial")
-        if list(b.coeffs) == [(0,) * len(b.vars)]:
-            c = b.coeffs[(0,) * len(b.vars)]
-            return a * (Fraction(1) / c)
-        for v in b.vars:
-            try:
-                return a.divexact(b, v)
-            except ArithmeticError:
-                continue
-        raise ArithmeticError("non-exact polynomial coefficient division")
-    if isinstance(b, LaurentPoly):
-        return a.divexact(b)
-    raise RingMismatch(f"no exact division for {b!r}")
 
 
 def series_div(num: TruncSeries1, den: TruncSeries1) -> TruncSeries1:
@@ -388,7 +371,7 @@ def series_div(num: TruncSeries1, den: TruncSeries1) -> TruncSeries1:
         acc = num.coeffs[k]
         for j in range(k):
             acc = acc - out[j] * den.coeffs[k - j]
-        out.append(_coeff_divexact(acc, den.coeffs[0], den.ring))
+        out.append(den.ring.divexact(acc, den.coeffs[0]))
     return TruncSeries1(den.ring, k_max, out, den.var)
 
 
@@ -404,7 +387,7 @@ def series_exp(ring, a, order, var="h") -> TruncSeries1:
 
 def exp_of(s: TruncSeries1) -> TruncSeries1:
     """exp of a series with zero constant term."""
-    if not _is_zero(s.coeffs[0]):
+    if s.coeffs[0]:
         raise ArithmeticError("exp needs a zero constant term")
     out = TruncSeries1.one(s.ring, s.order, s.var)
     term = TruncSeries1.one(s.ring, s.order, s.var)
@@ -459,7 +442,7 @@ class TruncSeries2:
         self.orders = (kh, kp)
         cleaned = {}
         for (i, j), c in (coeffs or {}).items():
-            if i < kh and j < kp and not _is_zero(c):
+            if i < kh and j < kp and c:
                 cleaned[(i, j)] = c
         self.coeffs = cleaned
 
@@ -487,7 +470,7 @@ class TruncSeries2:
 
     def _align(self, other):
         if not isinstance(other, TruncSeries2):
-            c = other if self.ring.contains(other) else embed(other, self.ring)
+            c = self.ring.embed(other)
             other = TruncSeries2.constant(self.ring, c, self.orders)
         if other.ring != self.ring:
             raise RingMismatch(
@@ -509,7 +492,7 @@ class TruncSeries2:
         out = dict(a.coeffs)
         for k, c in b.coeffs.items():
             s = out.get(k, a.ring.zero()) + c
-            if _is_zero(s):
+            if not s:
                 out.pop(k, None)
             else:
                 out[k] = s
@@ -545,14 +528,8 @@ class TruncSeries2:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative series power")
-        out = TruncSeries2.one(self.ring, self.orders)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        one = TruncSeries2.one(self.ring, self.orders)
+        return pow_by_squaring(self, k, one)
 
     def __eq__(self, other):
         try:
@@ -568,6 +545,9 @@ class TruncSeries2:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def coefficient(self, i, j):
         return self.coeffs.get((i, j), self.ring.zero())
@@ -591,26 +571,26 @@ class TruncSeries2:
 def compose1(f: TruncSeries1, x) -> "TruncSeries2 | TruncSeries1":
     """f(x) for a univariate series f and an argument with zero constant term."""
     if isinstance(x, TruncSeries1):
-        if not _is_zero(x.coeffs[0]):
+        if x.coeffs[0]:
             raise ArithmeticError("composition needs zero constant term")
-        out = TruncSeries1.constant(x.ring, embed(f.coeffs[0], x.ring), x.order,
+        out = TruncSeries1.constant(x.ring, x.ring.embed(f.coeffs[0]), x.order,
                                     x.var)
         power = TruncSeries1.one(x.ring, x.order, x.var)
         for m in range(1, f.order):
             power = power * x
             if power.is_zero():
                 break
-            out = out + power * embed(f.coeffs[m], x.ring)
+            out = out + power * x.ring.embed(f.coeffs[m])
         return out
-    if not _is_zero(x.coefficient(0, 0)):
+    if x.coefficient(0, 0):
         raise ArithmeticError("composition needs zero constant term")
-    out = TruncSeries2.constant(x.ring, embed(f.coeffs[0], x.ring), x.orders)
+    out = TruncSeries2.constant(x.ring, x.ring.embed(f.coeffs[0]), x.orders)
     power = TruncSeries2.one(x.ring, x.orders)
     for m in range(1, f.order):
         power = power * x
         if power.is_zero():
             break
-        out = out + power * embed(f.coeffs[m], x.ring)
+        out = out + power * x.ring.embed(f.coeffs[m])
     return out
 
 
@@ -662,7 +642,7 @@ class LaurentTrunc:
         if not isinstance(other, LaurentTrunc):
             other = LaurentTrunc(0, other) if isinstance(other, TruncSeries1) \
                 else LaurentTrunc(0, TruncSeries1.constant(
-                    self.series.ring, embed(other, self.series.ring),
+                    self.series.ring, self.series.ring.embed(other),
                     self.series.order, self.series.var))
         # normalizing first keeps the full known window of the unit parts
         a, b = self.normalize(), other.normalize()
@@ -695,6 +675,9 @@ class LaurentTrunc:
 
     def is_zero(self) -> bool:
         return self.series.is_zero()
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, TruncSeries1):
@@ -742,7 +725,7 @@ def format_series(s) -> str:
     var_order = ("h", "h'", "u", "v")
     terms = []
     if isinstance(s, TruncSeries1):
-        items = [((i, 0), c) for i, c in enumerate(s.coeffs) if not _is_zero(c)]
+        items = [((i, 0), c) for i, c in enumerate(s.coeffs) if c]
         hvar = s.var
         omark = f"O({s.var}^{s.order})"
     else:
@@ -756,7 +739,7 @@ def format_series(s) -> str:
             if hvar == "h'":
                 d = dict(d)
                 d["h'"] = d.pop("h", 0) or d.get("h'", 0)
-            if not _is_zero(scalar):
+            if scalar:
                 terms.append((d, scalar))
     def key(t):
         d, _ = t

@@ -310,9 +310,9 @@ def property_congruence_invariance(seed=DEFAULT_SEED, cases=500) -> CheckResult:
             rule=lambda sg, n, k:
             Fraction(k) * s(n, k) if sg < 0 else Fraction(k) / s(n, n - k + 1))
         cong = congruence(psi, 3)
-        s = solve(GqeEquation(cong, cong, -1, 3, p_max=8, n_check=8))
-        if not s or s.support() != reference.support() or \
-                any(s.entry(p) != reference.entry(p)
+        sol = solve(GqeEquation(cong, cong, -1, 3, p_max=8, n_check=8))
+        if not sol or sol.support() != reference.support() or \
+                any(sol.entry(p) != reference.entry(p)
                     for p in range(reference.support())):
             bad += 1
     return CheckResult("congruence-invariance", bad == 0,

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcolour.polys import Poly
-from qcolour.series import (QQ, CyclotomicRing, LaurentTrunc,
-                            TruncSeries1, TruncSeries2,
-                            TruncationMismatchWarning, compose1, embed,
+from qcolour.polys import LaurentPoly, Poly
+from qcolour.series import (POLY_U, QQ, CyclotomicRing, LaurentRing,
+                            LaurentTrunc, TruncSeries1, TruncSeries2,
+                            TruncationMismatchWarning, compose1,
                             exp_of, quantum_number_poly,
                             quantum_number_series, series_div, series_exp,
                             sinh_series)
@@ -102,7 +102,7 @@ def test_ring_mismatch_raises():
 
 
 def test_explicit_embedding():
-    c = embed(Fraction(3, 2), CyclotomicRing(6))
+    c = CyclotomicRing(6).embed(Fraction(3, 2))
     assert isinstance(c, CyclotomicScalar)
     assert c.rational_part() == Fraction(3, 2)
 
@@ -170,6 +170,9 @@ def test_laurent_trunc_inverse_and_regularity():
     assert one == TruncSeries1.one(QQ, one.order, "h'")
     with pytest.raises(ArithmeticError):
         inv.as_series()
+    assert T and not T - T
+    assert lt and not LaurentTrunc.from_series(sq - sq)
+    assert TruncSeries2.from_h(T, (2, 2)) and not TruncSeries2.zero(QQ, (2, 2))
 
 
 def test_format_series_is_canonical():
@@ -178,3 +181,46 @@ def test_format_series_is_canonical():
     assert format_series(s) == "2 + 1*h^2 + O(h^4)"
     z = TruncSeries1.zero(QQ, 3)
     assert format_series(z) == "0 + O(h^3)"
+
+
+U = Poly.variable(("u",), "u")
+Z6 = CyclotomicScalar.zeta(6)
+Z4 = CyclotomicScalar.zeta(4)
+QZ4 = LaurentRing("Q", CyclotomicRing(4))
+Q = LaurentPoly.monomial("Q", 1, QZ4.base.one())
+
+# ring, a, b, a unit, a nonzero non-unit, an inexact pair, a foreign value
+RINGS = [
+    (QQ, Fraction(3, 2), Fraction(-2, 7), Fraction(5), None, None, Z6),
+    (CyclotomicRing(6), Z6 + 2, Z6 - 3, Z6, None, None, Z4),
+    (POLY_U, U * U + 1, U - 2, U * 0 + 3, U, (U * U + 1, U), Q),
+    (QZ4, Q + LaurentPoly.monomial("Q", -1, Z4), Q * Q + Z4,
+     LaurentPoly.monomial("Q", -2, Z4), Q + 1, (QZ4.one(), Q + 1), U),
+]
+
+
+@pytest.mark.parametrize("ring,a,b,unit,non_unit,inexact,foreign", RINGS,
+                         ids=[r[0].name for r in RINGS])
+def test_ring_protocol(ring, a, b, unit, non_unit, inexact, foreign):
+    zero, one = ring.zero(), ring.one()
+    assert ring.contains(zero) and ring.contains(one)
+    assert not zero and one
+    assert ring.embed(0) == zero and ring.embed(1) == one
+    assert ring.embed(3) == one + one + one
+    half = ring.embed(Fraction(1, 2))
+    assert half + half == one
+    assert ring.embed(a) is a
+    assert ring.divexact(a * b, b) == a
+    assert ring.inverse(unit) * unit == one
+    with pytest.raises(ZeroDivisionError):
+        ring.inverse(zero)
+    if non_unit is not None:
+        with pytest.raises(ZeroDivisionError):
+            ring.inverse(non_unit)
+    if inexact is not None:
+        with pytest.raises(ArithmeticError):
+            ring.divexact(*inexact)
+    with pytest.raises(RingMismatch):
+        ring.embed(foreign)
+    with pytest.raises(RingMismatch):
+        ring.divexact(foreign, b)
