@@ -3,7 +3,9 @@
 Subcommands: solve, axioms, expand, rep, char, dual-char, liq,
 rootcombi, verify-all.  Reports come out as text, JSON (versioned
 schema) or CSV; the exit status is 0 when every check passes, 1 on a
-failed check and 2 on a configuration error.
+failed check, 2 on a configuration error and 3 when a search ends
+inconclusive (the GQE degree bound is exhausted or the sampling solver
+cannot decide); an inconclusive run writes no report.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 from . import langint, verify
 from .crystal import (check_h_admissible, colouring_to_config,
                       h_admissible_expansion, named_colouring)
-from .gqe import GqeEquation, NoSolution, solve
+from .gqe import (GqeDegreeExhausted, GqeEquation, GqeSampleError,
+                  NoSolution, solve)
 from .repmod import (build_L, character, decompose_into_irreducibles,
                      freudenthal_char, restrict_character,
                      verify_ladder_relations)
@@ -328,6 +331,9 @@ def main(argv=None) -> int:
                  seed=args.seed)
     try:
         args.fn(args, rep)
+    except (GqeDegreeExhausted, GqeSampleError) as exc:
+        sys.stderr.write(f"inconclusive: {exc}\n")
+        return 3
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

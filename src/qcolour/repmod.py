@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .crystal import Colouring
 from .rootdata import Isogeny, RootDatum, sl2_weight_datum
@@ -326,10 +327,21 @@ def restrict_character(chi: dict, iso: Isogeny) -> dict:
 def freudenthal_char(datum: RootDatum, lam) -> dict:
     """Weight multiplicities of the finite-type irreducible L(lam).
 
-    Standard recursion over descending weights; the arithmetic runs on
-    coroot-pairing vectors and simple-root displacements, so any lattice
-    realization works, and the result is keyed by X coordinates.  The
-    total is cross-checked against the Weyl dimension formula.
+    Freudenthal's recursion over descending weights mu = lam - beta,
+    beta = sum cs_j a_j, in the symmetrised form (a_i, a_j) = d_i C_ij:
+
+        ((lam+rho)^2 - (mu+rho)^2) m(mu)
+            = 2 sum_{alpha > 0, k >= 1} m(mu + k alpha) (mu + k alpha, alpha).
+
+    Since (x, a_j) = d_j <a_j^v, x> for every weight x, both sides are
+    integers: the left factor is 2 (lam+rho, beta) - (beta, beta) with
+    (lam+rho, a_j) = d_j (<a_j^v, lam> + 1), and each right term is
+    (lam, alpha) - (beta, alpha) + k (alpha, alpha).  The recursion is
+    therefore pure integer arithmetic, and a non-zero remainder of the
+    final division raises instead of rounding.  It runs on coroot
+    pairings and simple-root displacements, so any lattice realization
+    works; the result is keyed by X coordinates and its total is
+    cross-checked against the Weyl dimension formula.
     """
     lam = tuple(int(x) for x in lam)
     if not datum.cartan.is_finite_type():
@@ -337,12 +349,11 @@ def freudenthal_char(datum: RootDatum, lam) -> dict:
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     n = datum.cartan.rank
-    pos = datum.positive_roots()
-    p0 = tuple(Fraction(x) for x in datum.pairing_vector(lam))
-
-    def pvec(cs):
-        return tuple(p0[i] - sum(datum.cartan.entries[i][j] * cs[j]
-                                 for j in range(n)) for i in range(n))
+    cm, d = datum.cartan.entries, datum.cartan.d
+    p0 = datum.pairing_vector(lam)
+    # gram[j][k] = (a_j, a_k); lam_rho[j] = (lam + rho, a_j)
+    gram = tuple(tuple(d[j] * cm[j][k] for k in range(n)) for j in range(n))
+    lam_rho = tuple(d[j] * (p0[j] + 1) for j in range(n))
 
     def xcoords(cs):
         return tuple(
@@ -358,43 +369,44 @@ def freudenthal_char(datum: RootDatum, lam) -> dict:
         if x.denominator != 1 or x < 0:
             raise ArithmeticError("weight box is not integral")
         box.append(int(x))
-    lam_rho = tuple(a + 1 for a in p0)
-    norm_top = datum.inner_pairings(lam_rho, lam_rho)
-    root_pairings = {alpha: tuple(
-        sum(datum.cartan.entries[i][j] * alpha[j] for j in range(n))
-        for i in range(n)) for alpha in pos}
+    # per positive root alpha: its support, (a_j, alpha), (lam, alpha)
+    # and (alpha, alpha)
+    pos_roots = []
+    for alpha in datum.positive_roots():
+        ga = tuple(sum(gram[j][k] * alpha[k] for k in range(n))
+                   for j in range(n))
+        pos_roots.append((alpha,
+                          tuple((j, a) for j, a in enumerate(alpha) if a),
+                          ga,
+                          sum(a * d[j] * p0[j] for j, a in enumerate(alpha)),
+                          sum(a * g for a, g in zip(alpha, ga))))
     mult = {(0,) * n: 1}
     # iterate by height of lam - mu
-    from itertools import product as iproduct
     layers = {}
-    for cs in iproduct(*[range(b + 1) for b in box]):
+    for cs in product(*[range(b + 1) for b in box]):
         layers.setdefault(sum(cs), []).append(cs)
     for h in sorted(layers):
         if h == 0:
             continue
         for cs in layers[h]:
-            mu_p = pvec(cs)
-            mu_rho = tuple(a + 1 for a in mu_p)
-            denom = norm_top - datum.inner_pairings(mu_rho, mu_rho)
+            beta_a = tuple(sum(g * c for g, c in zip(row, cs))
+                           for row in gram)
+            denom = 2 * sum(c * x for c, x in zip(cs, lam_rho)) - \
+                sum(c * x for c, x in zip(cs, beta_a))
             if denom <= 0:
                 continue
-            acc = Fraction(0)
-            for alpha in pos:
-                ap = root_pairings[alpha]
-                k = 1
-                while True:
-                    cs_up = tuple(cs[j] - k * alpha[j] for j in range(n))
-                    if any(c < 0 for c in cs_up):
-                        break
-                    mk = mult.get(cs_up, 0)
+            acc = 0
+            for alpha, support, ga, lam_alpha, alpha_alpha in pos_roots:
+                mu_alpha = lam_alpha - sum(c * g for c, g in zip(cs, ga))
+                for k in range(1, min(cs[j] // a for j, a in support) + 1):
+                    mk = mult.get(tuple(c - k * a for c, a in zip(cs, alpha)))
                     if mk:
-                        acc += mk * datum.inner_pairings(pvec(cs_up), ap)
-                    k += 1
-            val = 2 * acc / denom
+                        acc += mk * (mu_alpha + k * alpha_alpha)
+            val, rem = divmod(2 * acc, denom)
+            if rem:
+                raise ArithmeticError("non-integral multiplicity")
             if val:
-                if val.denominator != 1:
-                    raise ArithmeticError("non-integral multiplicity")
-                mult[cs] = int(val)
+                mult[cs] = val
     out = {}
     for cs, mval in mult.items():
         key = xcoords(cs)

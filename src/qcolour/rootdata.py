@@ -8,6 +8,7 @@ columns of C and simple coroots the unit vectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -288,10 +289,14 @@ class RootDatum:
         return self.cartan.rank
 
     def pair(self, y, x):
+        """<y, x>, summed in the entries' own number type.
+
+        An integral result comes back as an int, any other as a Fraction.
+        """
         return _intify(sum(
-            (Fraction(yi) * self.pairing[a][b] * Fraction(xj)
-             for a, yi in enumerate(y) for b, xj in enumerate(x)
-             if yi and self.pairing[a][b] and xj), Fraction(0)))
+            yi * self.pairing[a][b] * xj
+            for a, yi in enumerate(y) for b, xj in enumerate(x)
+            if yi and self.pairing[a][b] and xj))
 
     def coroot_pairing(self, i: int, weight) -> Fraction:
         return self.pair(self.coroots[i], weight)
@@ -356,7 +361,9 @@ class RootDatum:
         """All simple-coroot pairings of a weight; realization independent."""
         return self.coroot_pairings(weight)
 
+    @functools.cached_property
     def _cartan_inverse(self):
+        """C^-1 over Q as a tuple of row tuples, built on first use."""
         n = self.cartan.rank
         m = [[Fraction(self.cartan.entries[i][j]) for j in range(n)]
              for i in range(n)]
@@ -374,7 +381,7 @@ class RootDatum:
                     g = m[r][c]
                     m[r] = [x - g * y for x, y in zip(m[r], m[c])]
                     inv[r] = [x - g * y for x, y in zip(inv[r], inv[c])]
-        return inv
+        return tuple(tuple(row) for row in inv)
 
     def inner(self, lam, mu):
         """Symmetric W-invariant form with (a_i, a_j) = d_i C_ij.
@@ -387,7 +394,7 @@ class RootDatum:
 
     def inner_pairings(self, lp, mp):
         """The same form on coroot-pairing vectors."""
-        inv = self._cartan_inverse()
+        inv = self._cartan_inverse
         n = self.cartan.rank
         mu_rt = [sum(inv[i][j] * Fraction(mp[j]) for j in range(n))
                  for i in range(n)]
@@ -423,7 +430,7 @@ class RootDatum:
 
     def weight_to_root(self, weight):
         """Simple-root coordinates of a root-lattice weight."""
-        inv = self._cartan_inverse()
+        inv = self._cartan_inverse
         p = self.pairing_vector(weight)
         n = self.cartan.rank
         return tuple(sum(inv[i][j] * Fraction(p[j]) for j in range(n))

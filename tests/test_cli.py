@@ -93,6 +93,16 @@ def test_config_error_exit_code(capsys):
     assert code == 2
 
 
+def test_inconclusive_search_exit_code(capsys):
+    code = main(["solve", "--psi", "quantum", "--degree", "-1",
+                 "--pmax", "2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("inconclusive: ") and "p_max = 2" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     assert main(["solve", "--psi", "classical"]) == 2   # missing --degree
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +12,8 @@ from qcolour.repmod import (WeightModule, a2_vector_module, add_characters,
                             verify_ladder_relations)
 from qcolour.rootdata import (Isogeny, RootDatum, cartan_by_name,
                               langlands_dual, rank1_isogeny,
-                              sl2_weight_datum)
+                              sl2_adjoint_datum, sl2_weight_datum,
+                              validate_gcm)
 from qcolour.series import QQ, TruncSeries1
 
 CL = ClassicalColouring()
@@ -185,3 +188,181 @@ def test_a2_modules():
         m = a2_vector_module(kind)
         assert verify_ladder_relations(m).passed
         assert character(m) == {(1, 0): 1, (-1, 1): 1, (0, -1): 1}
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: Freudenthal's recursion over Fractions, with the form
+# (lam, mu) = sum_j d_j <a_j^v, lam> (C^-1 <a^v, mu>)_j built from an
+# explicit Gauss-Jordan inverse of the Cartan matrix
+
+
+def _fraction_cartan_inverse(cartan):
+    n = cartan.rank
+    m = [[Fraction(x) for x in row] for row in cartan.entries]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        inv[c], inv[piv] = inv[piv], inv[c]
+        f = 1 / m[c][c]
+        m[c] = [x * f for x in m[c]]
+        inv[c] = [x * f for x in inv[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                g = m[r][c]
+                m[r] = [x - g * y for x, y in zip(m[r], m[c])]
+                inv[r] = [x - g * y for x, y in zip(inv[r], inv[c])]
+    return inv
+
+
+def _fraction_pairings(datum, weight):
+    return tuple(sum((Fraction(y) * datum.pairing[a][b] * Fraction(x)
+                      for a, y in enumerate(coroot)
+                      for b, x in enumerate(weight)), Fraction(0))
+                 for coroot in datum.coroots)
+
+
+def _fraction_inner(datum, inv, lp, mp):
+    n = datum.cartan.rank
+    mu_rt = [sum(inv[i][j] * Fraction(mp[j]) for j in range(n))
+             for i in range(n)]
+    return sum(Fraction(datum.cartan.d[j]) * Fraction(lp[j]) * mu_rt[j]
+               for j in range(n))
+
+
+def _fraction_weight_to_root(datum, inv, weight):
+    p = _fraction_pairings(datum, weight)
+    n = datum.cartan.rank
+    return tuple(sum(inv[i][j] * p[j] for j in range(n)) for i in range(n))
+
+
+def _fraction_freudenthal(datum, lam):
+    n = datum.cartan.rank
+    cm = datum.cartan.entries
+    inv = _fraction_cartan_inverse(datum.cartan)
+    p0 = _fraction_pairings(datum, lam)
+
+    def pvec(cs):
+        return tuple(p0[i] - sum(cm[i][j] * cs[j] for j in range(n))
+                     for i in range(n))
+
+    w0lam = tuple(-x for x in datum.dominant_representative(
+        tuple(-x for x in lam)))
+    span = _fraction_weight_to_root(
+        datum, inv, tuple(a - b for a, b in zip(lam, w0lam)))
+    assert all(x.denominator == 1 and x >= 0 for x in span)
+    pos = datum.positive_roots()
+    root_pairings = {alpha: tuple(sum(cm[i][j] * alpha[j] for j in range(n))
+                                  for i in range(n)) for alpha in pos}
+    lam_rho = tuple(a + 1 for a in p0)
+    norm_top = _fraction_inner(datum, inv, lam_rho, lam_rho)
+    mult = {(0,) * n: 1}
+    boxes = itertools.product(*[range(int(x) + 1) for x in span])
+    for cs in sorted(boxes, key=sum)[1:]:
+        mu_rho = tuple(a + 1 for a in pvec(cs))
+        denom = norm_top - _fraction_inner(datum, inv, mu_rho, mu_rho)
+        if denom <= 0:
+            continue
+        acc = Fraction(0)
+        for alpha in pos:
+            k = 1
+            while all(c - k * a >= 0 for c, a in zip(cs, alpha)):
+                cs_up = tuple(c - k * a for c, a in zip(cs, alpha))
+                mk = mult.get(cs_up)
+                if mk:
+                    acc += mk * _fraction_inner(
+                        datum, inv, pvec(cs_up), root_pairings[alpha])
+                k += 1
+        val = 2 * acc / denom
+        assert val.denominator == 1
+        if val:
+            mult[cs] = int(val)
+    out = {}
+    for cs, mval in mult.items():
+        key = tuple(int(lam[i] - sum(datum.roots[j][i] * cs[j]
+                                     for j in range(n)))
+                    for i in range(datum.rank))
+        out[key] = out.get(key, 0) + mval
+    return out
+
+
+def _dominant_weights(rank, height):
+    return [w for w in itertools.product(range(height + 1), repeat=rank)
+            if sum(w) <= height]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C2", "G2",
+                                  "B3", "C3"])
+def test_freudenthal_matches_fraction_oracle(name):
+    datum = RootDatum.standard(cartan_by_name(name), name)
+    for lam in _dominant_weights(datum.cartan.rank, 2):
+        assert freudenthal_char(datum, lam) == \
+            _fraction_freudenthal(datum, lam), (name, lam)
+
+
+def test_freudenthal_oracle_nonstandard_and_dual_data():
+    adj = sl2_adjoint_datum()
+    for h in range(5):
+        assert freudenthal_char(adj, (h,)) == \
+            _fraction_freudenthal(adj, (h,)), h
+    for name in ("B2", "G2"):
+        dual, _ = langlands_dual(RootDatum.standard(cartan_by_name(name)))
+        for lam in _dominant_weights(2, 3):
+            assert freudenthal_char(dual, lam) == \
+                _fraction_freudenthal(dual, lam), (name, lam)
+
+
+def test_pair_keeps_values_and_types():
+    for datum in (RootDatum.standard(cartan_by_name("G2")),
+                  sl2_adjoint_datum()):
+        rank = datum.rank
+        for w in itertools.product(range(-2, 3), repeat=rank):
+            as_frac = tuple(Fraction(x) for x in w)
+            halves = tuple(Fraction(x, 2) for x in w)
+            for weight in (w, as_frac, halves):
+                want = _fraction_pairings(datum, weight)
+                for i in range(datum.nroots):
+                    got = datum.coroot_pairing(i, weight)
+                    assert got == want[i]
+                    assert type(got) is (int if want[i].denominator == 1
+                                         else Fraction)
+                    assert datum.pair(datum.coroots[i], weight) == got
+    g2 = RootDatum.standard(cartan_by_name("G2"))
+    assert g2.pair((1, 0), (Fraction(1, 2), 3)) == Fraction(1, 2)
+    assert type(g2.pair((2, 0), (Fraction(1, 2), 3))) is int
+    assert type(g2.pair((0, 0), (1, 1))) is int
+
+
+def test_inner_and_weight_to_root_unchanged():
+    for name in ("B2", "G2"):
+        datum = RootDatum.standard(cartan_by_name(name))
+        inv = _fraction_cartan_inverse(datum.cartan)
+        weights = [(1, 0), (0, 1), (2, -1), (-1, 3)] + list(datum.roots)
+        for lam in weights:
+            assert datum.weight_to_root(lam) == \
+                _fraction_weight_to_root(datum, inv, lam)
+            for mu in weights:
+                want = _fraction_inner(datum, inv,
+                                       _fraction_pairings(datum, lam),
+                                       _fraction_pairings(datum, mu))
+                assert datum.inner(lam, mu) == want
+    b2 = RootDatum.standard(cartan_by_name("B2"))
+    # B2: alpha_1 long (length^2 4), alpha_2 short (length^2 2)
+    assert b2.inner(b2.roots[0], b2.roots[0]) == 4
+    assert b2.inner(b2.roots[1], b2.roots[1]) == 2
+    assert b2.weight_to_root((1, 0)) == (1, 1)
+    assert b2.weight_to_root((0, 1)) == (Fraction(1, 2), 1)
+    assert b2._cartan_inverse == ((1, Fraction(1, 2)), (1, 1))
+
+
+def test_cartan_inverse_is_lazy_and_shared():
+    aff = RootDatum.standard(validate_gcm([[2, -2], [-2, 2]]))
+    aff.reflect(0, (1, 0))
+    aff.weyl_orbit((0, 0))
+    assert "_cartan_inverse" not in vars(aff)
+    g2 = RootDatum.standard(cartan_by_name("G2"))
+    g2.inner((1, 0), (0, 1))
+    inv = vars(g2)["_cartan_inverse"]
+    assert isinstance(inv, tuple) and all(isinstance(r, tuple) for r in inv)
+    g2.weight_to_root((1, 1))
+    assert g2._cartan_inverse is inv
