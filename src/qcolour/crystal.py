@@ -475,11 +475,14 @@ class CongruenceClass:
         """[psi](u,k) as a series with Q[u] coefficients (closed form only)."""
         if self.poly_coeffs is None:
             raise ValueError("no closed form available")
+        kf = Fraction(k)
         coeffs = []
         for p in self.poly_coeffs:
-            q = p.substitute(v=Poly.constant(UV, Fraction(k)))
-            coeffs.append(Poly(("u",), {(e[0],): c
-                                        for e, c in q.coeffs.items()}))
+            # c u^i v^j -> (c k^j) u^i, summed per power of u
+            out = {}
+            for (i, j), c in p.coeffs.items():
+                out[(i,)] = out.get((i,), 0) + c * kf ** j
+            coeffs.append(Poly(("u",), out))
         return TruncSeries1(POLY_U, self.order, coeffs)
 
     def __eq__(self, other):

@@ -10,12 +10,19 @@ shifted column built from the second one.  Congruence classes with a
 closed bivariate form are solved by exact per-order polynomial division;
 pointwise classes fall back to sampling with Lagrange interpolation and
 independent validation points.
+
+Each row's ratios are running products: the ratio for a + 1 is the one
+for a times the congruence value at k = p - a, and the ratio for a = p
+is the factorial F(n,p)!, the closed solver's divisor.  Each solve
+evaluates a congruence value once per k (closed) or per (n, k)
+(residual check).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .crystal import CongruenceClass, congruence
 from .polys import Poly
@@ -108,18 +115,12 @@ def rhs_row(cong2: CongruenceClass, d: int, n: int, p: int) -> TruncSeries1:
     return TruncSeries1.zero(QQ, cong2.order)
 
 
-def _ratio_pointwise(cong: CongruenceClass, n: int, p: int, a: int):
-    """F(n,p)!/F(n,p-a)! = product of congruence values, k = p-a+1 .. p."""
-    out = TruncSeries1.one(QQ, cong.order)
-    for k in range(p - a + 1, p + 1):
-        out = out * cong.value(n, k)
-    return out
+_U = Poly.variable(("u",), "u")
 
 
 def _subst_u(series: TruncSeries1, shift: int) -> TruncSeries1:
     """M(u) -> M(u + shift) coefficientwise."""
-    u = Poly.variable(("u",), "u")
-    target = u + Fraction(shift)
+    target = _U + Fraction(shift)
     return series.map_coeffs(lambda c: c.substitute(u=target))
 
 
@@ -153,21 +154,22 @@ def solve(eq: GqeEquation):
 
 def _solve_closed(eq: GqeEquation):
     entries, degrees = [], []
+    values = [None]           # values[k] = [psi1](u, k), k = 1 .. p
+    one = TruncSeries1.one(POLY_U, eq.order)
     zeros = 0
     for p in range(eq.p_max + 1):
+        if p:
+            values.append(eq.cong1.value_poly(p))
         if p - eq.d >= 1:
             rhs = eq.cong2.value_poly(p - eq.d)
         else:
             rhs = TruncSeries1.zero(POLY_U, eq.order)
         acc = rhs
+        ratio = one           # F(u,p)!/F(u,p-a)!
         for a in range(p):
-            ratio = TruncSeries1.one(POLY_U, eq.order)
-            for k in range(p - a + 1, p + 1):
-                ratio = ratio * eq.cong1.value_poly(k)
             acc = acc - _subst_u(entries[a], -2 * p + 2 * a) * ratio
-        denom = TruncSeries1.one(POLY_U, eq.order)
-        for k in range(1, p + 1):
-            denom = denom * eq.cong1.value_poly(k)
+            ratio = ratio * values[p - a]
+        denom = ratio         # a = p: the whole factorial F(u,p)!
         try:
             m_p = series_div(acc, denom)
         except (ArithmeticError, ZeroDivisionError):
@@ -185,11 +187,13 @@ def _solve_closed(eq: GqeEquation):
 
 def _forced_value(eq: GqeEquation, entries, p: int, n: int) -> TruncSeries1:
     acc = rhs_row(eq.cong2, eq.d, n, p)
-    for a in range(min(p, len(entries))):
-        acc = acc - entries[a].map_coeffs(
-            lambda c: c(Fraction(n - 2 * p + 2 * a)), ring=QQ) * \
-            _ratio_pointwise(eq.cong1, n, p, a)
-    denom = eq.cong1.factorial(n, p)
+    ratio = TruncSeries1.one(QQ, eq.cong1.order)   # F(n,p)!/F(n,p-a)!
+    for a in range(p):
+        if a < len(entries):
+            acc = acc - entries[a].map_coeffs(
+                lambda c: c(Fraction(n - 2 * p + 2 * a)), ring=QQ) * ratio
+        ratio = ratio * eq.cong1.value(n, p - a)
+    denom = ratio                                  # a = p: F(n,p)!
     if denom.coeffs[0] == 0:
         raise GqeSampleError(
             f"congruence factorial vanishes at h = 0 on row (n={n}, p={p})")
@@ -198,7 +202,6 @@ def _forced_value(eq: GqeEquation, entries, p: int, n: int) -> TruncSeries1:
 
 def _lagrange(points) -> Poly:
     """Exact interpolation through (x, y) pairs, polynomial in u."""
-    u = Poly.variable(("u",), "u")
     out = Poly(("u",), {})
     for i, (xi, yi) in enumerate(points):
         if yi == 0:
@@ -207,7 +210,7 @@ def _lagrange(points) -> Poly:
         for j, (xj, _) in enumerate(points):
             if j == i:
                 continue
-            term = term * (u - Fraction(xj)) * \
+            term = term * (_U - Fraction(xj)) * \
                 Fraction(1, xi - xj)
         out = out + term
     return out
@@ -276,14 +279,21 @@ def _solve_sampling(eq: GqeEquation):
 
 def verify_residuals(eq: GqeEquation, entries):
     """Recheck every row (n, p) with p <= n <= n_check; None when clean."""
+    one = TruncSeries1.one(QQ, eq.cong1.order)
     for n in range(eq.n_check + 1):
+        values = {}           # values[k] = [psi1](n, k), taken once
         for p in range(n + 1):
             lhs = TruncSeries1.zero(QQ, eq.order)
+            ratio = one       # F(n,p)!/F(n,p-a)!
             for a in range(min(p, len(entries) - 1) + 1):
-                e = entries[a]
-                lhs = lhs + e.map_coeffs(
+                if a:
+                    k = p - a + 1
+                    if k not in values:
+                        values[k] = eq.cong1.value(n, k)
+                    ratio = ratio * values[k]
+                lhs = lhs + entries[a].map_coeffs(
                     lambda c: c(Fraction(n - 2 * p + 2 * a)), ring=QQ) * \
-                    _ratio_pointwise(eq.cong1, n, p, a)
+                    ratio
             rhs = rhs_row(eq.cong2, eq.d, n, p)
             diff = lhs - rhs
             if not diff.is_zero():
@@ -395,11 +405,6 @@ def _conjugate_to_classical(op: Operator, module: WeightModule, i: int,
     return Operator(op.dim, cols)
 
 
-def _binom(n, k):
-    from math import comb
-    return comb(n, k)
-
-
 def gqe_serre_residual(module: WeightModule, i: int, j: int,
                        solbar_i: GqeSolution, c_ij: int,
                        sign: int = 1):
@@ -421,7 +426,7 @@ def gqe_serre_residual(module: WeightModule, i: int, j: int,
     acc = Operator.zero(module.dim)
     for k in range(n_tot + 1):
         term = powers[k].compose(xj).compose(powers[n_tot - k])
-        term = term.scale(module.scalar((-1) ** k * _binom(n_tot, k)))
+        term = term.scale(module.scalar((-1) ** k * comb(n_tot, k)))
         acc = acc + term
     worst = None
     for c, entriesc in acc.columns.items():

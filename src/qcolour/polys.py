@@ -128,12 +128,16 @@ class Poly:
         """Evaluate at scalars; values follow the variable order."""
         if len(values) != len(self.vars):
             raise ValueError("wrong number of values")
+        # powers[i][k - 1] = values[i] ** k, grown as exponents ask
+        powers = [[v] for v in values]
         out = 0
         for e, c in self.coeffs.items():
             term = c
-            for v, k in zip(values, e):
-                for _ in range(k):
-                    term = term * v
+            for v, pw, k in zip(values, powers, e):
+                if k:
+                    while len(pw) < k:
+                        pw.append(pw[-1] * v)
+                    term = term * pw[k - 1]
             out = out + term
         return out
 
@@ -144,11 +148,16 @@ class Poly:
             img = subs.get(name)
             images.append(Poly.variable(self.vars, name) if img is None
                           else self._coerce(img))
+        # powers[i][k] = images[i] ** k, grown as exponents ask
+        one = Poly.constant(self.vars, Fraction(1))
+        powers = [[one] for _ in images]
         out = Poly(self.vars, {})
         for e, c in self.coeffs.items():
             term = Poly.constant(self.vars, c)
-            for img, k in zip(images, e):
-                term = term * img ** k
+            for img, pw, k in zip(images, powers, e):
+                while len(pw) <= k:
+                    pw.append(pw[-1] * img)
+                term = term * pw[k]
             out = out + term
         return out
 

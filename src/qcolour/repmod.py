@@ -420,9 +420,14 @@ def freudenthal_char(datum: RootDatum, lam) -> dict:
 
 
 def is_weyl_symmetric(datum: RootDatum, chi: dict) -> bool:
+    """chi is constant on Weyl orbits.
+
+    The simple reflections generate W, so it suffices that every simple
+    reflection of every support weight carries the same multiplicity.
+    """
     for w, mval in chi.items():
-        for o in datum.weyl_orbit(w):
-            key = tuple(int(x) for x in o)
+        for i in range(datum.nroots):
+            key = tuple(int(x) for x in datum.reflect(i, w))
             if chi.get(key, 0) != mval:
                 return False
     return True
@@ -437,12 +442,13 @@ def decompose_into_irreducibles(chi: dict, datum: RootDatum) -> dict:
     if not is_weyl_symmetric(datum, chi):
         raise ValueError("character is not Weyl symmetric")
     work = {k: v for k, v in chi.items() if v}
+    # a peel adds no weight to the support without raising below, so the
+    # heights of the initial support are all the peels need
+    height = {w: sum(datum.weight_to_root(w)) for w in work}
     out = {}
     while work:
         # a maximal-height support weight is dominant for symmetric chi
-        def height(w):
-            return sum(datum.weight_to_root(w))
-        top = max(work, key=lambda w: (height(w), w))
+        top = max(work, key=lambda w: (height[w], w))
         if not datum.is_dominant(top):
             raise ValueError(f"maximal support weight {top} not dominant")
         mult = work[top]

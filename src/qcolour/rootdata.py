@@ -402,7 +402,13 @@ class RootDatum:
                    for j in range(n))
 
     def positive_roots(self):
-        """All positive roots in simple-root coordinates (finite type)."""
+        """All positive roots in simple-root coordinates (finite type),
+        as a sorted tuple shared by every call."""
+        return self._positive_roots
+
+    @functools.cached_property
+    def _positive_roots(self):
+        """The positive roots, built on first use."""
         n = self.cartan.rank
         simple = [tuple(1 if k == i else 0 for k in range(n))
                   for i in range(n)]
@@ -419,7 +425,7 @@ class RootDatum:
                 if r not in seen:
                     seen.add(r)
                     todo.append(r)
-        return sorted(m for m in seen if all(x >= 0 for x in m))
+        return tuple(sorted(m for m in seen if all(x >= 0 for x in m)))
 
     def root_to_weight(self, root_coords):
         """Simple-root coordinates -> X coordinates."""

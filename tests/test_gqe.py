@@ -5,13 +5,15 @@ import pytest
 from qcolour.crystal import (ClassicalColouring, CongruenceClass,
                              PointwiseColouring, PolySeriesColouring,
                              QuantumColouring, V, congruence, poly_uv)
-from qcolour.gqe import (POLY_U, GqeDegreeExhausted, GqeEquation, NoSolution,
+from qcolour.gqe import (POLY_U, GqeDegreeExhausted, GqeEquation,
+                         GqeSampleError, GqeSolution, NoSolution,
+                         _forced_value, _lagrange,
                          deformed_commutator_operator, gqe_serre_residual,
                          rhs_row, solve, trivialised_generator,
                          verify_residuals)
 from qcolour.polys import Poly
 from qcolour.repmod import Operator, a2_vector_module, build_L
-from qcolour.series import QQ, TruncSeries1
+from qcolour.series import QQ, TruncSeries1, series_div
 
 CL = ClassicalColouring()
 U1 = Poly.variable(("u",), "u")
@@ -278,3 +280,198 @@ def test_zero_congruence_sample_is_diagnosed():
     clean = congruence(CL, 3)
     with pytest.raises(GqeSampleError):
         solve(GqeEquation(bad, clean, 0, 3, p_max=6))
+
+
+# ---------------------------------------------------------------------------
+# the quadratic closed solver and residual check, kept as oracles: every
+# ratio and factorial is rebuilt from fresh congruence values, and every
+# substitution and evaluation from fresh powers
+
+
+def _oracle_substitute(poly, **subs):
+    images = [subs.get(name, Poly.variable(poly.vars, name))
+              for name in poly.vars]
+    out = Poly(poly.vars, {})
+    for e, c in poly.coeffs.items():
+        term = Poly.constant(poly.vars, c)
+        for img, k in zip(images, e):
+            term = term * img ** k
+        out = out + term
+    return out
+
+
+def _oracle_at(poly, x):
+    """A polynomial in u evaluated at a rational, as a rational."""
+    out = Fraction(0)
+    for (k,), c in poly.coeffs.items():
+        out = out + c * Fraction(x) ** k
+    return out
+
+
+def _oracle_value_poly(cong, k):
+    coeffs = []
+    for p in cong.poly_coeffs:
+        q = _oracle_substitute(p, v=Poly.constant(("u", "v"), Fraction(k)))
+        coeffs.append(Poly(("u",), {(e[0],): c for e, c in q.coeffs.items()}))
+    return TruncSeries1(POLY_U, cong.order, coeffs)
+
+
+def _oracle_ratio(cong, n, p, a):
+    out = TruncSeries1.one(QQ, cong.order)
+    for k in range(p - a + 1, p + 1):
+        out = out * cong.value(n, k)
+    return out
+
+
+def _oracle_entry_at(entry, x):
+    return entry.map_coeffs(lambda c: _oracle_at(c, x), ring=QQ)
+
+
+def _oracle_forced_value(eq, entries, p, n):
+    acc = rhs_row(eq.cong2, eq.d, n, p)
+    for a in range(min(p, len(entries))):
+        acc = acc - _oracle_entry_at(entries[a], n - 2 * p + 2 * a) * \
+            _oracle_ratio(eq.cong1, n, p, a)
+    denom = eq.cong1.factorial(n, p)
+    if denom.coeffs[0] == 0:
+        raise GqeSampleError(f"factorial vanishes at (n={n}, p={p})")
+    return series_div(acc, denom)
+
+
+def _oracle_witness(eq, entries, p):
+    width = eq.d_max + eq.v_extra + 1
+    vals = {n: _oracle_forced_value(eq, entries, p, n)
+            for n in range(p, p + width + 1)}
+    for m in range(eq.order):
+        poly = _lagrange([(n, vals[n].coeffs[m])
+                          for n in range(p, p + eq.d_max + 1)])
+        for n in range(p + eq.d_max + 1, p + width + 1):
+            if _oracle_at(poly, n) != vals[n].coeffs[m]:
+                return NoSolution(n, p, m, "interpolated entry fails at a "
+                                  "validation point")
+    raise GqeDegreeExhausted("no finite witness")
+
+
+def _oracle_residuals(eq, entries):
+    for n in range(eq.n_check + 1):
+        for p in range(n + 1):
+            lhs = TruncSeries1.zero(QQ, eq.order)
+            for a in range(min(p, len(entries) - 1) + 1):
+                lhs = lhs + _oracle_entry_at(entries[a], n - 2 * p + 2 * a) \
+                    * _oracle_ratio(eq.cong1, n, p, a)
+            diff = lhs - rhs_row(eq.cong2, eq.d, n, p)
+            if not diff.is_zero():
+                return NoSolution(n, p, diff.valuation(),
+                                  "residual row is nonzero")
+    return None
+
+
+def _oracle_solve_closed(eq):
+    u = Poly.variable(("u",), "u")
+    entries, degrees, zeros = [], [], 0
+    for p in range(eq.p_max + 1):
+        if p - eq.d >= 1:
+            acc = _oracle_value_poly(eq.cong2, p - eq.d)
+        else:
+            acc = TruncSeries1.zero(POLY_U, eq.order)
+        for a in range(p):
+            ratio = TruncSeries1.one(POLY_U, eq.order)
+            for k in range(p - a + 1, p + 1):
+                ratio = ratio * _oracle_value_poly(eq.cong1, k)
+            target = u + Fraction(2 * a - 2 * p)
+            acc = acc - entries[a].map_coeffs(
+                lambda c: _oracle_substitute(c, u=target)) * ratio
+        denom = TruncSeries1.one(POLY_U, eq.order)
+        for k in range(1, p + 1):
+            denom = denom * _oracle_value_poly(eq.cong1, k)
+        try:
+            m_p = series_div(acc, denom)
+        except (ArithmeticError, ZeroDivisionError):
+            return _oracle_witness(eq, entries, p)
+        entries.append(m_p.pad(eq.order) if m_p.order < eq.order else m_p)
+        degrees.append(max((c.degree() for c in m_p.coeffs), default=-1))
+        zeros = zeros + 1 if m_p.is_zero() else 0
+        if zeros >= eq.w_tail:
+            break
+    else:
+        raise GqeDegreeExhausted("no vanishing tail")
+    tail = len(entries)
+    while tail and entries[tail - 1].is_zero():
+        tail -= 1
+    witness = _oracle_residuals(eq, entries)
+    if witness is not None:
+        return witness
+    return GqeSolution(tuple(entries[:tail]), tail, eq.order,
+                       tuple(degrees[:tail]),
+                       (eq.n_check + 1) * (eq.n_check + 2) // 2)
+
+
+def _assert_matches_oracle(eq):
+    got, want = solve(eq), _oracle_solve_closed(eq)
+    assert type(got) is type(want)
+    if isinstance(want, NoSolution):
+        assert got == want
+        return
+    assert got.entries == want.entries
+    assert (got.tail, got.order, got.degrees, got.residual_checked) == \
+        (want.tail, want.order, want.degrees, want.residual_checked)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("degree", [-1, 0])
+@pytest.mark.parametrize("order", [4, 5, 6, 7, 8])
+def test_closed_solver_matches_quadratic_oracle(order, degree):
+    ccl = congruence(CL, order)
+    for psi in [CL] + [QuantumColouring(d=d, order=order) for d in (1, 2, 3)]:
+        cong = congruence(psi, order)
+        rhs = cong if degree == -1 else ccl
+        _assert_matches_oracle(GqeEquation.build(cong, rhs, degree,
+                                                 order=order, n_check=6))
+
+
+def test_closed_witness_matches_quadratic_oracle():
+    # an h-shifted control: admissible at h^0, no solution from h^1 on
+    shift = poly_uv({(0, 0): Fraction(2)})
+    pert = PolySeriesColouring([V, shift], [V, shift], order=5)
+    eq = GqeEquation.build(pert, pert, -1, order=5, n_check=6, d_max=6)
+    _assert_matches_oracle(eq)
+    assert isinstance(solve(eq), NoSolution)
+
+
+def test_closed_expansion_matches_quadratic_oracle():
+    import random
+    from qcolour.crystal import h_admissible_expansion
+    rng = random.Random(4)
+    cache = {}
+    def rule(s, n, k):
+        if (s, n, k) not in cache:
+            cache[s, n, k] = Fraction(rng.randrange(1, 9), rng.randrange(1, 4))
+        return cache[s, n, k]
+    psi = h_admissible_expansion(PointwiseColouring(rule=rule), 2)
+    cong = congruence(psi, 3)
+    assert cong.closed_form is not None
+    for rhs, degree in ((cong, -1), (congruence(CL, 3), 0)):
+        _assert_matches_oracle(GqeEquation.build(cong, rhs, degree, order=3,
+                                                 n_check=6))
+
+
+def test_residual_check_and_forced_values_match_oracle():
+    q = QuantumColouring(d=2, order=4)
+    cong = congruence(q, 4)
+    pointwise = CongruenceClass(4, rule=lambda n, k: cong.value(n, k))
+    entries = list(solve(GqeEquation(cong, cong, -1, 4)).entries)
+    entries += [TruncSeries1.zero(POLY_U, 4)] * 2
+    bumped = list(entries)
+    bumped[1] = bumped[1] + TruncSeries1(POLY_U, 4, [0, 0, U1])
+    for c1 in (cong, pointwise):
+        eq = GqeEquation(c1, cong, -1, 4, n_check=7)
+        for trial in (entries, bumped, entries[:1], []):
+            assert verify_residuals(eq, trial) == \
+                _oracle_residuals(eq, trial)
+        assert verify_residuals(eq, bumped) is not None
+        for p in range(4):
+            for n in range(p, p + 4):
+                short = entries[:max(p - 1, 0)]
+                for trial in (entries[:p], bumped[:p], short):
+                    assert _forced_value(eq, trial, p, n) == \
+                        _oracle_forced_value(eq, trial, p, n)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcolour import repmod
 from qcolour.crystal import ClassicalColouring, QuantumColouring, congruence
 from qcolour.repmod import (WeightModule, a2_vector_module, add_characters,
                             build_L, character, decompose_into_irreducibles,
@@ -366,3 +367,60 @@ def test_cartan_inverse_is_lazy_and_shared():
     assert isinstance(inv, tuple) and all(isinstance(r, tuple) for r in inv)
     g2.weight_to_root((1, 1))
     assert g2._cartan_inverse is inv
+
+
+def _orbit_symmetric(datum, chi):
+    """Weyl symmetry by walking the whole orbit of every support weight."""
+    for w, mval in chi.items():
+        for o in datum.weyl_orbit(w):
+            if chi.get(tuple(int(x) for x in o), 0) != mval:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_weyl_symmetry_matches_orbit_check(name):
+    datum = RootDatum.standard(cartan_by_name(name), name)
+    for lam in _dominant_weights(2, 3):
+        chi = freudenthal_char(datum, lam)
+        assert is_weyl_symmetric(datum, chi) and _orbit_symmetric(datum, chi)
+        # one multiplicity off breaks symmetry unless its orbit is a point
+        for w in chi:
+            bumped = dict(chi)
+            bumped[w] += 1
+            fixed = len(datum.weyl_orbit(w)) == 1
+            assert is_weyl_symmetric(datum, bumped) is fixed, (lam, w)
+            assert _orbit_symmetric(datum, bumped) is fixed, (lam, w)
+        outside = tuple(x + 5 for x in lam)
+        assert is_weyl_symmetric(datum, {**chi, outside: 0})
+        assert not is_weyl_symmetric(datum, {**chi, outside: 1})
+
+
+def test_positive_roots_built_once():
+    counts = {"A1": 1, "A2": 3, "B2": 4, "G2": 6, "A3": 6, "B3": 9, "C3": 9}
+    for name, count in counts.items():
+        datum = RootDatum.standard(cartan_by_name(name))
+        assert "_positive_roots" not in vars(datum)
+        roots = datum.positive_roots()
+        assert isinstance(roots, tuple) and len(roots) == count
+        assert list(roots) == sorted(roots)
+        assert all(min(r) >= 0 and sum(r) > 0 for r in roots)
+        freudenthal_char(datum, (1,) * datum.cartan.rank)
+        assert datum.positive_roots() is roots
+
+
+def test_decompose_takes_each_height_once(monkeypatch):
+    b2 = RootDatum.standard(cartan_by_name("B2"))
+    parts = ((1, 1), (2, 0), (0, 0))
+    irreducible = {lam: freudenthal_char(b2, lam) for lam in parts}
+    chi = {}
+    for part in irreducible.values():
+        chi = add_characters(chi, part)
+    monkeypatch.setattr(repmod, "freudenthal_char",
+                        lambda datum, lam: irreducible[lam])
+    calls = []
+    real = RootDatum.weight_to_root
+    monkeypatch.setattr(RootDatum, "weight_to_root",
+                        lambda self, w: calls.append(w) or real(self, w))
+    assert decompose_into_irreducibles(chi, b2) == dict.fromkeys(parts, 1)
+    assert sorted(calls) == sorted(w for w, v in chi.items() if v)
